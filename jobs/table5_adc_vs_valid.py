@@ -19,14 +19,7 @@ import pandas as pd
 sys.path.insert(0, ".")
 from jobs.common import job_main  # noqa: E402
 from jobs.fig14_grecall import golden_uncovered  # noqa: E402
-
-
-def _weight(ev, unc):
-    return sum(int(ev.counts[i]) for i in unc)
-
-
-def _passes(ev, unc, eps):
-    return _weight(ev, unc) <= eps * ev.total_pairs + 1e-9
+from repro.core.functions import F1, one_minus_f1  # noqa: E402
 
 
 def shrink_adc(ev, space, bits, eps, removable=None):
@@ -47,7 +40,7 @@ def shrink_adc(ev, space, bits, eps, removable=None):
             if not trial:
                 continue
             unc = [i for i, m in enumerate(ev.masks) if all(m >> x & 1 for x in trial)]
-            if _passes(ev, unc, eps):
+            if F1().passes(ev, unc, eps):
                 bits = trial
                 changed = True
                 break
@@ -73,7 +66,7 @@ def extend_valid(ev, space, bits):
             trial_unc = [i for i in unc if ev.masks[i] >> e & 1]
             if len(trial_unc) == len(unc):
                 continue  # no progress
-            if best_unc is None or _weight(ev, trial_unc) < _weight(ev, best_unc):
+            if best_unc is None or one_minus_f1(ev, trial_unc) < one_minus_f1(ev, best_unc):
                 best, best_unc = e, trial_unc
         if best is None:
             return None
@@ -108,7 +101,7 @@ def run(spark, n: int = 300, seed: int = 0, eps: float = 0.005,
                              "approximate_dc": "—", "valid_dc": "—"})
                 continue
             bits = [space.id_of(p) for p in g.predicates]
-            if _passes(ev, unc, eps):
+            if F1().passes(ev, unc, eps):
                 adc = _to_dc_str(space, shrink_adc(ev, space, bits, eps))
             else:
                 adc = "—"

@@ -19,8 +19,9 @@ Builders:
   test oracle and for driver-only micro-instances.
 
 The ``vios`` structure of Figure 2 (per evidence set, per tuple violation
-counts, needed by f2 and GreedyF3) is built by :func:`build_vios_spark` /
-locally, again as a DataFrame aggregation.
+counts, needed by f2 and GreedyF3) is the per-tuple split of the same bag:
+``with_vios=True`` makes either builder produce both in one pass over the
+pairs, as DCFinder [37] does.
 """
 from __future__ import annotations
 
@@ -121,51 +122,43 @@ def _pairs(df: DataFrame) -> DataFrame:
 
 
 def build_evidence_spark(
-    spark: SparkSession, df: DataFrame, space: PredicateSpace
+    spark: SparkSession, df: DataFrame, space: PredicateSpace, *, with_vios: bool = False
 ) -> EvidenceSet:
-    """Distributed evidence construction via Catalyst (see module doc)."""
+    """Distributed evidence construction via Catalyst (see module doc).
+
+    With ``with_vios`` every pair's mask is attributed to both its tuples
+    and the scan aggregates by (mask, tid) instead of by mask: the rows of
+    one mask give its ``vios`` entry, and its count is half their sum.
+    """
     df = with_rid(df).cache()
     n = df.count()
     word_names = [f"w{w}" for w in range(space.n_words)]
-    agg = (
-        _pairs(df)
-        .select(*_word_columns(space))
-        .groupBy(*word_names)
-        .agg(F.count(F.lit(1)).alias("cnt"))
-        .collect()
-    )
-    masks = [_mask_from_words(tuple(r[w] for w in word_names)) for r in agg]
-    counts = np.array([r["cnt"] for r in agg], dtype=np.int64)
-    return EvidenceSet(space, masks, counts, n)
-
-
-def build_vios_spark(
-    spark: SparkSession, df: DataFrame, ev: EvidenceSet
-) -> None:
-    """Populate ``ev.vios`` with per-(evidence set, tuple) pair counts.
-
-    For every ordered pair the pair's mask is attributed to both its tuples,
-    then aggregated by (mask, rid) — a single extra DataFrame aggregation.
-    """
-    space = ev.space
-    df = with_rid(df)
-    word_names = [f"w{w}" for w in range(space.n_words)]
+    cols, keys = _word_columns(space), list(word_names)
+    if with_vios:
+        cols.append(F.explode(F.array(F.col(f"l.{RID}"), F.col(f"r.{RID}"))).alias("tid"))
+        keys.append("tid")
     rows = (
         _pairs(df)
-        .select(
-            *_word_columns(space),
-            F.explode(F.array(F.col(f"l.{RID}"), F.col(f"r.{RID}"))).alias("tid"),
-        )
-        .groupBy(*word_names, "tid")
+        .select(*cols)
+        .groupBy(*keys)
         .agg(F.count(F.lit(1)).alias("cnt"))
         .collect()
     )
-    idx_of = {m: i for i, m in enumerate(ev.masks)}
-    vios: dict[int, dict[int, int]] = {i: {} for i in range(ev.n_distinct)}
+    index: dict[int, int] = {}
+    counts: list[int] = []
+    vios: dict[int, dict[int, int]] = {}
     for r in rows:
-        i = idx_of[_mask_from_words(tuple(r[w] for w in word_names))]
-        vios[i][int(r["tid"])] = int(r["cnt"])
-    ev.vios = vios
+        i = index.setdefault(_mask_from_words(tuple(r[w] for w in word_names)), len(index))
+        if i == len(counts):
+            counts.append(0)
+        counts[i] += r["cnt"]
+        if with_vios:
+            vios.setdefault(i, {})[int(r["tid"])] = int(r["cnt"])
+    ev = EvidenceSet(space, list(index), np.array(counts, dtype=np.int64), n)
+    if with_vios:
+        ev.counts //= 2  # each pair was counted once per tuple
+        ev.vios = vios
+    return ev
 
 
 def build_evidence_naive(
@@ -210,44 +203,36 @@ def build_evidence_naive(
 def build_evidence_local(
     pdf: pd.DataFrame, space: PredicateSpace, *, with_vios: bool = False
 ) -> EvidenceSet:
-    """Numpy reference builder over a pandas frame (tests / micro-instances)."""
-    from .predicates import PY_OP
+    """Numpy reference builder over a pandas frame (tests / micro-instances).
 
+    Sets are numbered by their first pair in row-major order.
+    """
     work = pdf.drop(columns=[RID], errors="ignore").reset_index(drop=True)
     n = len(work)
-    cols = {c: work[c].to_numpy() for c in work.columns}
+    cols_t = {c: work[c].to_numpy()[:, None] for c in work.columns}
+    cols_s = {c: v.T for c, v in cols_t.items()}
     # bit-pack predicate truth over the full n×n pair grid into uint64 words
-    words = [np.zeros((n, n), dtype=np.uint64) for _ in range(space.n_words)]
+    words = np.zeros((n, n, space.n_words), dtype=np.uint64)
     for k, p in enumerate(space.predicates):
-        lv = cols[p.lhs][:, None]
-        rv = cols[p.rhs][:, None] if p.single_tuple else cols[p.rhs][None, :]
-        sat = np.asarray(PY_OP[p.op](lv, rv), dtype=bool)
-        words[k // 64] |= sat.astype(np.uint64) << np.uint64(k % 64)
-    bag: dict[int, int] = {}
-    vios: dict[int, dict[int, int]] = {}
-    cell_masks = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            m = 0
-            for w, wm in enumerate(words):
-                m |= int(wm[i, j]) << (64 * w)
-            cell_masks[i][j] = m
-            bag[m] = bag.get(m, 0) + 1
-    masks = list(bag)
-    counts = np.array([bag[m] for m in masks], dtype=np.int64)
-    ev = EvidenceSet(space, masks, counts, n)
+        sat = np.asarray(p.eval_block(cols_t, cols_s), dtype=bool)
+        words[:, :, k // 64] |= sat.astype(np.uint64) << np.uint64(k % 64)
+    left, right = np.nonzero(~np.eye(n, dtype=bool))
+    uniq, first, inverse, counts = np.unique(
+        words[left, right], axis=0, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)
+    masks = [_mask_from_words(row) for row in uniq[order].tolist()]
+    ev = EvidenceSet(space, masks, counts[order].astype(np.int64), n)
     if with_vios:
-        idx_of = {m: k for k, m in enumerate(masks)}
-        vios = {k: {} for k in range(len(masks))}
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                k = idx_of[cell_masks[i][j]]
-                d = vios[k]
-                d[i] = d.get(i, 0) + 1
-                d[j] = d.get(j, 0) + 1
-        ev.vios = vios
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        pair_set = rank[inverse]
+        grid = np.bincount(
+            np.concatenate([pair_set * n + left, pair_set * n + right]),
+            minlength=len(masks) * n,
+        ).reshape(len(masks), n)
+        ev.vios = {k: {} for k in range(len(masks))}
+        sets, tids = np.nonzero(grid)
+        for k, t, c in zip(sets.tolist(), tids.tolist(), grid[sets, tids].tolist()):
+            ev.vios[k][t] = c
     return ev

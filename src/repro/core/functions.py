@@ -15,7 +15,8 @@ tests in ``tests/test_functions.py`` verify both.
 
 ``F2``/``F3Greedy.passes`` apply the Proposition 5.3 prefilter: when
 ``1 − f1 > 2ε`` neither can pass, and f1 is computable from the uncovered
-weights alone, without the ``vios`` structure.
+weights alone (an :class:`UncoveredView` carries their sum), without the
+indices or the ``vios`` structure.
 """
 from __future__ import annotations
 
@@ -38,7 +39,11 @@ class ApproximationFunction:
         raise NotImplementedError
 
     def passes(self, ev: EvidenceSet, uncovered: Iterable[int], eps: float) -> bool:
-        """Whether ``1 − f(D,S_φ) ≤ ε``."""
+        """Whether ``1 − f(D,S_φ) ≤ ε``.
+
+        ``uncovered`` is a collection of indices or an :class:`UncoveredView`;
+        it may be read more than once.
+        """
         return 1.0 - self.score(ev, uncovered) <= eps + _TOL
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -89,7 +94,7 @@ def _require_vios(ev: EvidenceSet) -> dict[int, dict[int, int]]:
     if ev.vios is None:
         raise ValueError(
             "this approximation function needs ev.vios "
-            "(build with with_vios=True or build_vios_spark)"
+            "(build the evidence with with_vios=True)"
         )
     return ev.vios
 
@@ -110,7 +115,6 @@ class F2(ApproximationFunction):
         return 1.0 - len(bad) / ev.n_tuples
 
     def passes(self, ev: EvidenceSet, uncovered: Iterable[int], eps: float) -> bool:
-        uncovered = list(uncovered)
         if one_minus_f1(ev, uncovered) > 2 * eps + _TOL:  # Prop. 5.3
             return False
         return super().passes(ev, uncovered, eps)
@@ -129,7 +133,6 @@ class F3Greedy(ApproximationFunction):
 
     def removal_set(self, ev: EvidenceSet, uncovered: Iterable[int]) -> list[int]:
         vios = _require_vios(ev)
-        uncovered = list(uncovered)
         u = _uncovered_weight(ev, uncovered)  # total violations to cover
         if u == 0:
             return []
@@ -152,7 +155,6 @@ class F3Greedy(ApproximationFunction):
         return 1.0 - len(self.removal_set(ev, uncovered)) / ev.n_tuples
 
     def passes(self, ev: EvidenceSet, uncovered: Iterable[int], eps: float) -> bool:
-        uncovered = list(uncovered)
         if one_minus_f1(ev, uncovered) > 2 * eps + _TOL:  # Prop. 5.3
             return False
         return super().passes(ev, uncovered, eps)

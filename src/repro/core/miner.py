@@ -5,6 +5,7 @@
 1. ``GeneratePSpace``  — :func:`repro.core.predicates.build_predicate_space`
 2. ``Sample``          — uniform tuple sample (``DataFrame.sample``)
 3. ``ConstructEvidence`` — :func:`repro.core.evidence.build_evidence_spark`
+   (with ``vios`` in the same pass when ``f`` needs it)
 4. ``ADCEnum``         — :func:`repro.core.enumerate.adc_enum`
 
 Per-stage wall-clock timings are recorded — the paper's runtime figures
@@ -26,7 +27,6 @@ from .evidence import (
     build_evidence_local,
     build_evidence_naive,
     build_evidence_spark,
-    build_vios_spark,
     with_rid,
 )
 from .functions import ApproximationFunction
@@ -72,8 +72,20 @@ def adc_miner(
     corrected function f1' of §7.2 so that mined DCs hold on the full
     database w.r.t. ``eps`` with probability ≥ 1−alpha.
     ``builder``: ``fast`` (Catalyst bit-packed) or ``naive`` (AFASTDC-style
-    UDF). ``enumerator``: ``adcenum`` or ``searchmc`` (baseline).
+    UDF, f1 only: it builds no ``vios``). ``enumerator``: ``adcenum`` or
+    ``searchmc`` (baseline, which takes no ``choose``). Any other value, and
+    an option that would have no effect, raises ``ValueError``.
     """
+    if builder not in ("fast", "naive"):
+        raise ValueError(f"builder must be 'fast' or 'naive', not {builder!r}")
+    if enumerator not in ("adcenum", "searchmc"):
+        raise ValueError(f"enumerator must be 'adcenum' or 'searchmc', not {enumerator!r}")
+    if alpha is not None and (f.name != "f1" or sample_fraction is None):
+        raise ValueError("alpha applies only to f1 mined on a sample (sample_fraction)")
+    if choose != "max" and enumerator == "searchmc":
+        raise ValueError("choose applies only to enumerator='adcenum'")
+    if builder == "naive" and f.needs_vios:
+        raise ValueError(f"{f.name} needs vios, which only builder='fast' builds")
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
@@ -91,22 +103,20 @@ def adc_miner(
     timings["sampling"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    build = build_evidence_spark if builder == "fast" else build_evidence_naive
-    ev = build(spark, sampled, space)
-    if f.needs_vios:
-        build_vios_spark(spark, sampled, ev)
+    if builder == "fast":
+        ev = build_evidence_spark(spark, sampled, space, with_vios=f.needs_vios)
+    else:
+        ev = build_evidence_naive(spark, sampled, space)
     timings["evidence"] = time.perf_counter() - t0
 
-    eff_f = f
-    if alpha is not None and sample_fraction is not None and f.name == "f1":
-        eff_f = F1Prime(alpha)
+    eff_f = f if alpha is None else F1Prime(alpha)
 
     t0 = time.perf_counter()
-    enum = adc_enum if enumerator == "adcenum" else search_mc
     kw = dict(max_results=max_results, timeout_s=timeout_s)
     if enumerator == "adcenum":
-        kw["choose"] = choose
-    hitting_sets, stats = enum(ev, eff_f, eps, **kw)
+        hitting_sets, stats = adc_enum(ev, eff_f, eps, choose=choose, **kw)
+    else:
+        hitting_sets, stats = search_mc(ev, eff_f, eps, **kw)
     dcs = hitting_sets_to_dcs(ev, hitting_sets)
     timings["enumeration"] = time.perf_counter() - t0
     timings["total"] = sum(timings.values())

@@ -15,7 +15,6 @@ from repro.core import (
     build_evidence_naive,
     build_evidence_spark,
     build_predicate_space,
-    build_vios_spark,
     violating_pairs_df,
     with_rid,
 )
@@ -30,6 +29,21 @@ def _sorted_pdf(pdf: pd.DataFrame) -> pd.DataFrame:
     """Sort rows like with_rid's window (orderBy all columns) so local rids
     align with Spark rids."""
     return pdf.sort_values(list(pdf.columns)).reset_index(drop=True)
+
+
+def _bag(ev) -> dict[int, int]:
+    return dict(zip(ev.masks, ev.counts.tolist()))
+
+
+def _vios_case(name: str):
+    """(pdf, space): the running example, or a dataset at n=50 (flight at
+    n=30, whose > 128 predicates need 3+ words)."""
+    if name == "running_example":
+        pdf = _sorted_pdf(running_example())
+        return pdf, build_predicate_space(pdf, include_pairs=[("Income", "Tax")])
+    n, seed = (30, 1) if name == "flight" else (50, 11)
+    pdf = _sorted_pdf(DATASETS[name](n, seed=seed).pdf)
+    return pdf, build_predicate_space(pdf)
 
 
 @pytest.fixture(scope="module")
@@ -54,14 +68,22 @@ class TestFastBuilder:
         ev = build_evidence_spark(spark, df, space)
         ev.check()
 
-    def test_vios_matches_local(self, spark, re_ctx):
-        pdf, space, df = re_ctx
-        ev_s = build_evidence_spark(spark, df, space)
-        build_vios_spark(spark, df, ev_s)
+    @pytest.mark.parametrize(
+        "name", ["running_example", "tax", "stock", "airport", "flight"]
+    )
+    def test_vios_matches_local(self, spark, name):
+        """One ``with_vios`` scan gives the local builder's bag and vios, and
+        the same bag as the plain ``groupBy(words)`` scan."""
+        pdf, space = _vios_case(name)
+        df = with_rid(spark.createDataFrame(pdf)).cache()
+        ev_s = build_evidence_spark(spark, df, space, with_vios=True)
         ev_l = build_evidence_local(pdf, space, with_vios=True)
+        assert _bag(ev_s) == _bag(ev_l)
+        assert _bag(ev_s) == _bag(build_evidence_spark(spark, df, space))
         by_mask_s = {ev_s.masks[i]: v for i, v in ev_s.vios.items()}
         by_mask_l = {ev_l.masks[i]: v for i, v in ev_l.vios.items()}
         assert by_mask_s == by_mask_l
+        df.unpersist()
 
     @pytest.mark.parametrize("name", ["tax", "stock", "airport"])
     def test_datasets_match_local(self, spark, name):

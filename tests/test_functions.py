@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import F1, F2, F3Greedy, build_evidence_local, build_predicate_space
-from repro.core.functions import one_minus_f1
+from repro.core.functions import UncoveredView, one_minus_f1
 from repro.datasets import PHI1, PHI2, running_example
+from repro.sampling.threshold import F1Prime
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +106,18 @@ class TestEdgeCases:
         ev = build_evidence_local(pdf, space)  # no vios
         with pytest.raises(ValueError):
             F2().score(ev, [0])
+
+    @pytest.mark.parametrize("f", [F2(), F3Greedy(), F1Prime(0.05)], ids=["f2", "f3", "f1prime"])
+    def test_prefilter_reads_only_the_views_weight(self, ctx, f):
+        """A rejection by the Prop. 5.3 prefilter (f1' by its p̂) needs the
+        uncovered weight alone, never the indices."""
+
+        class Unreadable:
+            def __iter__(self):
+                raise AssertionError("uncovered indices were read")
+
+        _, _, ev = ctx
+        assert not f.passes(ev, UncoveredView(Unreadable(), int(ev.counts.sum())), 0.01)
 
     def test_f3_greedy_covers_total(self, ctx):
         """The greedy loop stops only once c ≥ u (Figure 2 line 4)."""

@@ -44,6 +44,38 @@ class TestSparkPipeline:
         assert res3.evidence.vios is not None
         assert res2.dcs and res3.dcs
 
+    def test_f3_scans_the_pairs_once(self, spark, re_df, re_space, monkeypatch):
+        """Evidence and vios come from one pair aggregation."""
+        from repro.core import evidence
+
+        calls = []
+        pairs = evidence._pairs
+
+        def counted(df):
+            calls.append(df)
+            return pairs(df)
+
+        monkeypatch.setattr(evidence, "_pairs", counted)
+        adc_miner(spark, re_df, F3Greedy(), 0.1, space=re_space)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "f,kw",
+        [
+            (F2(), dict(alpha=0.05, sample_fraction=0.5)),
+            (F1(), dict(alpha=0.05)),
+            (F1(), dict(enumerator="searchmc", choose="min")),
+            (F1(), dict(builder="udf")),
+            (F1(), dict(enumerator="mmcs")),
+            (F3Greedy(), dict(builder="naive")),
+        ],
+        ids=["alpha-f2", "alpha-no-sample", "choose-searchmc", "unknown-builder",
+             "unknown-enumerator", "naive-f3"],
+    )
+    def test_rejects_options_without_effect(self, spark, re_df, re_space, f, kw):
+        with pytest.raises(ValueError):
+            adc_miner(spark, re_df, f, 0.05, space=re_space, **kw)
+
     def test_searchmc_backend_agrees(self, spark, re_df, re_space):
         a = adc_miner(spark, re_df, F1(), 0.05, space=re_space)
         b = adc_miner(spark, re_df, F1(), 0.05, space=re_space, enumerator="searchmc")
